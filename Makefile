@@ -1,5 +1,5 @@
-# Targets mirror the CI jobs in .github/workflows/ci.yml: a change that
-# passes `make ci` locally passes the pipeline.
+# The CI jobs in .github/workflows/ci.yml run these targets and nothing
+# else, so a change that passes `make ci` locally passes the pipeline.
 
 GO ?= go
 
@@ -18,7 +18,8 @@ test:
 race:
 	$(GO) test -race ./internal/provider ./internal/httpapi ./internal/kvstore ./internal/payment ./internal/replica ./internal/revocation ./internal/workload ./internal/obs ./internal/cryptox/precomp ./internal/cryptox/schnorr ./internal/cryptox/rsablind .
 
-# Full evaluation benchmarks (minutes; see bench_test.go for families).
+# Full evaluation benchmarks, every table and figure (minutes; see
+# docs/experiments.md for the family behind each column).
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1s .
 
@@ -39,17 +40,17 @@ bench-gate:
 	$(GO) test -run=NONE -bench='BenchmarkT[23]_' -benchtime=$(BENCHTIME) -count=$(GATECOUNT) . | \
 		$(GO) run ./cmd/benchjson -gate BENCH_PR8.json -gate-match '^BenchmarkT3_.*Batch' -gate-tolerance 0.10
 
-# One iteration per benchmark: proves they compile and run.
+# One iteration per benchmark: every experiment family compiles and
+# runs, and the replica catch-up family next to its package.
 bench-smoke:
-	$(GO) test -run=NONE -bench=BenchmarkT1_ -benchtime=1x ./...
-	$(GO) test -run=NONE -bench='BenchmarkT3_(Purchase|Exchange|Deposit|Get|PutIfAbsent)' -benchtime=1x .
+	$(GO) test -run=NONE -bench=. -benchtime=1x .
 	$(GO) test -run=NONE -bench=BenchmarkT3_ReplicaCatchup -benchtime=1x ./internal/replica
 
 # Statistical timing guard over the blinded crypto ops (dudect-style
 # Welch t-test, see docs/crypto.md): fails only on a leak confirmed in
 # two independent rounds, skips on boxes too noisy for a verdict.
 timing-guard:
-	$(GO) test -count=1 ./internal/cryptox/ctcheck/
+	$(GO) test -count=1 -v ./internal/cryptox/ctcheck/
 
 # Short-deadline go-native fuzzing (one -fuzz target per package run):
 # corrupted WAL tails and license encodings must error, never panic or

@@ -14,6 +14,7 @@ cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkT2_PurchaseP2DRM 	    1518	   1618278 ns/op
 BenchmarkT3_PurchaseBatch-4 	    1873	    661754 ns/op
 BenchmarkT3_DepositParallel/group_commit/shards_16-8 	     500	   2400000 ns/op
+BenchmarkF1_LinkageAttack/reuse_4-2 	       3	    384441 ns/op	         2.095 entropy_bits	         0.08671 recall	   51234 B/op	     812 allocs/op
 BenchmarkBad no numbers here
 PASS
 ok  	p2drm	13.218s
@@ -32,6 +33,7 @@ ok  	p2drm	13.218s
 		"BenchmarkT2_PurchaseP2DRM":                          {Iterations: 1518, NsPerOp: 1618278},
 		"BenchmarkT3_PurchaseBatch":                          {Iterations: 1873, NsPerOp: 661754},
 		"BenchmarkT3_DepositParallel/group_commit/shards_16": {Iterations: 500, NsPerOp: 2400000},
+		"BenchmarkF1_LinkageAttack/reuse_4":                  {Iterations: 3, NsPerOp: 384441},
 	}
 	if len(rep.Benchmarks) != len(want) {
 		t.Fatalf("parsed %d benchmarks, want %d: %v", len(rep.Benchmarks), len(want), rep.Benchmarks)

@@ -2,7 +2,7 @@
 // of the revocation list: a negative answer ("serial not revoked") is
 // exact and costs a few hashes; a positive answer falls back to the exact
 // store. Sized for a target false-positive rate so the fallback stays rare
-// (T4 in DESIGN.md measures this crossover).
+// (T4 in docs/experiments.md measures this crossover).
 package bloom
 
 import (

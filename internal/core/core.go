@@ -52,8 +52,9 @@ type Options struct {
 	// Clock injects time for deterministic tests.
 	Clock func() time.Time
 	// DisableBlinding switches Transfer to the ablation mode (A1 in
-	// DESIGN.md): anonymous serials are sent to the provider in clear,
-	// making exchange↔redeem linkable. Never use outside experiments.
+	// docs/experiments.md): anonymous serials are sent to the provider in
+	// clear, making exchange↔redeem linkable. Never use outside
+	// experiments.
 	DisableBlinding bool
 	// CryptoPools enables the crypto acceleration layer: the fixed-base
 	// table for the group generator, a background-filled Schnorr/KEM

@@ -165,46 +165,64 @@ func timingTestKey(t *testing.T) *rsa.PrivateKey {
 }
 
 // rsablind.Blind draws a random blinding factor r; its running time
-// must not depend on r's value. Class A replays one fixed r, class B
-// uses fresh ones — both through in-memory readers, so the classes
-// differ only in the factor's value, not the randomness source's
-// syscall cost.
+// must not depend on r's value. The factor is single-use, so neither
+// class ever repeats a value: replaying one fixed r lets the CPU's
+// branch predictors learn that value's exact path through math/big,
+// which makes ANY fixed r faster than fresh ones (Welch t leaned
+// negative for every fixed seed tried and reached -9.5 under a loaded
+// go test ./...) although r's value does not matter.
+// Instead both classes draw a fresh r per call and differ in which
+// values they draw: class A takes r = k^-1 mod N for a fresh 64-bit k,
+// the worst case for a variable-time inverse (Euclid on (N, r) ends
+// after about as many steps as k has digits, where a uniform r takes
+// hundreds), and class B takes r uniform in [2, N-2]. Both reach Blind
+// through in-memory readers, so the classes differ only in the factor's
+// value, not the randomness source's syscall cost.
 func TestTimingBlind(t *testing.T) {
 	pub := &timingTestKey(t).PublicKey
 	msg := []byte("timing-guard coin")
-	// One rejection-sampling attempt reads 128 bytes (1024-bit modulus).
-	// Forcing the leading byte to 0x11 keeps every candidate below the
-	// top-bit-set modulus, so the first draw is always accepted and each
-	// buffer deterministically encodes exactly one blinding factor.
-	mkSeed := func(fill func([]byte)) []byte {
-		s := make([]byte, 128)
-		fill(s[1:])
-		s[0] = 0x11
-		return s
+	// Blind draws r-2 uniformly from [0, N-4] with one 128-byte read. A
+	// buffer holding an in-range r-2 is accepted on the first draw, so
+	// each buffer deterministically encodes exactly one blinding factor.
+	two := big.NewInt(2)
+	span := new(big.Int).Sub(pub.N, big.NewInt(3))
+	seed := func(rMinus2 *big.Int) []byte { return rMinus2.FillBytes(make([]byte, 128)) }
+	n := (samples + warmup) * reps
+	shortEuclid := make([][]byte, 0, n)
+	for len(shortEuclid) < n {
+		var k [8]byte
+		if _, err := rand.Read(k[:]); err != nil {
+			t.Fatal(err)
+		}
+		r := new(big.Int).ModInverse(new(big.Int).SetBytes(k[:]), pub.N)
+		if r == nil {
+			continue // k = 0
+		}
+		if d := r.Sub(r, two); d.Sign() >= 0 && d.Cmp(span) < 0 {
+			shortEuclid = append(shortEuclid, seed(d))
+		}
 	}
-	fixed := mkSeed(func(b []byte) {
-		copy(b, bytes.Repeat([]byte{0x5e, 0xc7, 0x3a}, 43))
-	})
-	fresh := make([][]byte, (samples+warmup)*reps)
-	for i := range fresh {
-		fresh[i] = mkSeed(func(b []byte) {
-			if _, err := rand.Read(b); err != nil {
-				t.Fatal(err)
-			}
-		})
+	uniform := make([][]byte, n)
+	for i := range uniform {
+		d, err := rand.Int(rand.Reader, span)
+		if err != nil {
+			t.Fatal(err)
+		}
+		uniform[i] = seed(d)
 	}
-	i := 0
+	ia, ib := 0, 0
 	guard(t, "rsablind.Blind",
 		func() {
-			if _, _, err := rsablind.Blind(pub, msg, bytes.NewReader(fixed)); err != nil {
+			if _, _, err := rsablind.Blind(pub, msg, bytes.NewReader(shortEuclid[ia%n])); err != nil {
 				t.Fatal(err)
 			}
+			ia++
 		},
 		func() {
-			if _, _, err := rsablind.Blind(pub, msg, bytes.NewReader(fresh[i%len(fresh)])); err != nil {
+			if _, _, err := rsablind.Blind(pub, msg, bytes.NewReader(uniform[ib%n])); err != nil {
 				t.Fatal(err)
 			}
-			i++
+			ib++
 		},
 	)
 }

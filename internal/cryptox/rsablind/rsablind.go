@@ -290,9 +290,9 @@ func SigLen(pub *rsa.PublicKey) int { return (pub.N.BitLen() + 7) / 8 }
 
 // Prehash returns the full-domain hash of msg encoded for the signer —
 // i.e. what Blind would send with the blinding factor fixed to 1. The
-// no-blinding ablation (A1 in DESIGN.md) sends this value so the signer's
-// response verifies as a plain signature over msg while the signer sees
-// the serial in clear.
+// no-blinding ablation (A1 in docs/experiments.md) sends this value so
+// the signer's response verifies as a plain signature over msg while the
+// signer sees the serial in clear.
 func Prehash(pub *rsa.PublicKey, msg []byte) []byte {
 	return toFixed(fdh(pub.N, msg), pub.N)
 }

@@ -134,6 +134,31 @@ func Attack(events []provider.Event, resolve DenomResolver) *Clustering {
 	return c
 }
 
+// LinkedTransfers counts the journal's exchanges and how many of them
+// the clustering links to some redemption; linked/exchanges is the A1
+// transfer-pair recall (0 with blinding, 1 without).
+func LinkedTransfers(events []provider.Event, c *Clustering) (linked, exchanges int) {
+	var redeems []int
+	for _, e := range events {
+		if e.Type == provider.EvRedeem {
+			redeems = append(redeems, e.Seq)
+		}
+	}
+	for _, e := range events {
+		if e.Type != provider.EvExchange {
+			continue
+		}
+		exchanges++
+		for _, r := range redeems {
+			if c.SameCluster(e.Seq, r) {
+				linked++
+				break
+			}
+		}
+	}
+	return linked, exchanges
+}
+
 // transactionEvent filters to the events metrics are computed over:
 // register events are protocol overhead paired 1:1 with a purchase or
 // redeem and would inflate scores.

@@ -6,7 +6,6 @@ import (
 
 	"p2drm/internal/core"
 	"p2drm/internal/cryptox/schnorr"
-	"p2drm/internal/provider"
 	"p2drm/internal/workload"
 )
 
@@ -96,33 +95,20 @@ func TestBlindingBlocksTransferLinkage(t *testing.T) {
 	if m.Recall > 0.05 {
 		t.Errorf("recall = %.3f with blinding; transfers leaked", m.Recall)
 	}
+	linked, exchanges := LinkedTransfers(res.Events, c)
+	if exchanges == 0 {
+		t.Fatal("no transfers in trace; test vacuous")
+	}
+	if linked != 0 {
+		t.Errorf("linked %d of %d exchanges to their redemption with blinding; want none", linked, exchanges)
+	}
 }
 
 func TestAblationNoBlindingLinksTransfers(t *testing.T) {
 	// Without blinding the hash rule links every exchange to its redeem.
 	s, res := runTrace(t, true, 1, 0.5)
 	c := Attack(res.Events, s.Provider.DenomPublic)
-
-	// Count exchange→redeem links the attack found.
-	var exchanges, linked int
-	var redeems []provider.Event
-	for _, e := range res.Events {
-		if e.Type == provider.EvRedeem {
-			redeems = append(redeems, e)
-		}
-	}
-	for _, e := range res.Events {
-		if e.Type != provider.EvExchange {
-			continue
-		}
-		exchanges++
-		for _, r := range redeems {
-			if c.SameCluster(e.Seq, r.Seq) {
-				linked++
-				break
-			}
-		}
-	}
+	linked, exchanges := LinkedTransfers(res.Events, c)
 	if exchanges == 0 {
 		t.Fatal("no transfers in trace; test vacuous")
 	}

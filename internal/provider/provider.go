@@ -4,8 +4,9 @@
 //
 // The provider is honest-but-curious in the threat model: it follows the
 // protocol but logs everything it sees. The Events() journal is therefore
-// a first-class output — the linkage experiments (F1/A1 in DESIGN.md) run
-// the published attack directly against this journal.
+// a first-class output — the linkage experiments (F1/A1 in
+// docs/experiments.md) run the published attack directly against this
+// journal.
 //
 // What the provider can and cannot see, by operation:
 //
