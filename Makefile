@@ -54,10 +54,12 @@ timing-guard:
 
 # Short-deadline go-native fuzzing (one -fuzz target per package run):
 # corrupted WAL tails and license encodings must error, never panic or
-# silently drop committed state. CI runs this on every PR.
+# silently drop committed state; withdraw requests must never panic and
+# never debit on an error answer. CI runs this on every PR.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzWALReplay -fuzztime=10s ./internal/kvstore
 	$(GO) test -run=NONE -fuzz=FuzzLicenseCodec -fuzztime=10s ./internal/license
+	$(GO) test -run=NONE -fuzz=FuzzWithdrawRequest -fuzztime=10s ./internal/httpapi
 
 # Subprocess crash/compaction suite: SIGKILL mid-group-commit, mid-
 # segment-roll and mid-incremental-compaction; -count=2 reruns each

@@ -205,17 +205,26 @@ func Verify(g *Group, y *big.Int, msg []byte, sig *Signature) error {
 	if err := g.ValidatePublicKey(y); err != nil {
 		return err
 	}
-	// r' = g^s * y^{-e} mod p. ValidatePublicKey confirmed y has order q,
-	// so y^{-e} = y^{q-e} — one exponentiation instead of Exp+ModInverse
-	// (e = 0 gives y^q = 1, which is the correct inverse of y^0).
+	// r' = g^s * y^{-e} mod p, with y^{-e} computed as (y^e)^{-1}: e is
+	// a SHA-256 digest reduced mod q, so y^e costs a 256-bit exponent
+	// where the equal y^{q-e} would cost one as wide as q (767 or 2047
+	// bits), and the inverse is one GCD. Every input is public, so the
+	// inverse's variable timing leaks nothing.
 	gs := g.ExpG(sig.S)
-	ye := new(big.Int).Exp(y, new(big.Int).Sub(g.Q, sig.E), g.P)
-	r := gs.Mul(gs, ye)
+	r := gs.Mul(gs, invExp(g, y, sig.E))
 	r.Mod(r, g.P)
 	if challenge(g, y, r, msg).Cmp(sig.E) != 0 {
 		return errors.New("schnorr: verification failed")
 	}
 	return nil
+}
+
+// invExp returns y^{-e} mod p for a public y in the order-q subgroup.
+// y is a unit mod the prime p, so the inverse always exists (e = 0
+// gives 1^{-1} = 1).
+func invExp(g *Group, y, e *big.Int) *big.Int {
+	ye := new(big.Int).Exp(y, e, g.P)
+	return ye.ModInverse(ye, g.P)
 }
 
 // Proof is a NIZK proof of knowledge of the discrete log of Y, bound to a

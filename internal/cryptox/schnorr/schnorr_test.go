@@ -278,3 +278,29 @@ func TestQuickDerivedKeysDistinct(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestInvExpMatchesSubgroupForm: Verify's y^{-e} = (y^e)^{-1} equals the
+// y^{q-e} form it replaced, for subgroup keys in both groups, on random
+// challenges and on the edge values e = 0, 1 and q-1.
+func TestInvExpMatchesSubgroupForm(t *testing.T) {
+	r := mrand.New(mrand.NewSource(13))
+	for name, g := range map[string]*Group{"768": Group768(), "2048": Group2048()} {
+		var es []*big.Int
+		es = append(es, big.NewInt(0), big.NewInt(1), new(big.Int).Sub(g.Q, big.NewInt(1)))
+		for i := 0; i < 6; i++ {
+			es = append(es, new(big.Int).Rand(r, g.Q))
+		}
+		for i := 0; i < 3; i++ {
+			k, err := GenerateKey(g, rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range es {
+				want := new(big.Int).Exp(k.Y, new(big.Int).Sub(g.Q, e), g.P)
+				if got := invExp(g, k.Y, e); got.Cmp(want) != 0 {
+					t.Errorf("%s: key %d, e=%v: (y^e)^-1 != y^(q-e)", name, i, e)
+				}
+			}
+		}
+	}
+}

@@ -32,7 +32,10 @@
 // base64-encoded inside JSON envelopes. The three batch endpoints share
 // one shape: up to maxBatchItems slots, per-slot outcomes in request
 // order (a malformed or failed slot never voids the rest), and the
-// provider's shared worker pool underneath.
+// provider's shared worker pool underneath. Money moves differently: a
+// withdrawal's blinded_batch (also up to maxBatchItems coins) and a
+// purchase's coins are all or nothing, so one bad coin voids the whole
+// debit or settlement.
 package httpapi
 
 import (
@@ -150,15 +153,20 @@ type BankAccountRequest struct {
 	Funds int64  `json:"funds"`
 }
 
-// WithdrawRequest requests one blind-signed coin.
+// WithdrawRequest requests blind-signed coins: one in Blinded, or up to
+// maxBatchItems in BlindedBatch (set exactly one of the two). Either way
+// the whole count is debited at once, or nothing is.
 type WithdrawRequest struct {
-	Account string `json:"account"`
-	Blinded string `json:"blinded"`
+	Account      string   `json:"account"`
+	Blinded      string   `json:"blinded,omitempty"`
+	BlindedBatch []string `json:"blinded_batch,omitempty"`
 }
 
-// WithdrawResponse carries the bank's blind signature.
+// WithdrawResponse carries the bank's blind signatures: BlindSig for a
+// single-coin request, BlindSigs (in request order) for a batch.
 type WithdrawResponse struct {
-	BlindSig string `json:"blind_sig"`
+	BlindSig  string   `json:"blind_sig,omitempty"`
+	BlindSigs []string `json:"blind_sigs,omitempty"`
 }
 
 func (s *Server) epProviderKey(r *http.Request) (any, *apiError) {
@@ -196,15 +204,50 @@ func (s *Server) epWithdraw(r *http.Request) (any, *apiError) {
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		return nil, errBadRequest(err)
 	}
-	blinded, err := unb64(req.Blinded)
-	if err != nil {
-		return nil, errBadRequest(err)
+	blinded, apiErr := decodeWithdraw(req)
+	if apiErr != nil {
+		return nil, apiErr
 	}
-	sig, err := s.Bank.Withdraw(req.Account, blinded)
+	sigs, err := s.Bank.WithdrawBatch(req.Account, blinded)
 	if err != nil {
 		return nil, errRejected(err)
 	}
-	return WithdrawResponse{BlindSig: b64(sig)}, nil
+	if req.BlindedBatch == nil {
+		return WithdrawResponse{BlindSig: b64(sigs[0])}, nil
+	}
+	resp := WithdrawResponse{BlindSigs: make([]string, len(sigs))}
+	for i, sig := range sigs {
+		resp.BlindSigs[i] = b64(sig)
+	}
+	return resp, nil
+}
+
+// decodeWithdraw checks the whole request shape — one of the two
+// members, the batch cap, every base64 element — before the bank is
+// asked to debit anything.
+func decodeWithdraw(req WithdrawRequest) ([][]byte, *apiError) {
+	if req.BlindedBatch == nil {
+		blinded, err := unb64(req.Blinded)
+		if err != nil || len(blinded) == 0 {
+			return nil, errBadRequest(errors.New("httpapi: blinded must be a non-empty base64 coin"))
+		}
+		return [][]byte{blinded}, nil
+	}
+	if req.Blinded != "" {
+		return nil, errBadRequest(errors.New("httpapi: set blinded or blinded_batch, not both"))
+	}
+	if e := checkBatchSize(len(req.BlindedBatch)); e != nil {
+		return nil, e
+	}
+	out := make([][]byte, len(req.BlindedBatch))
+	for i, w := range req.BlindedBatch {
+		blinded, err := unb64(w)
+		if err != nil || len(blinded) == 0 {
+			return nil, errBadRequest(fmt.Errorf("httpapi: blinded_batch[%d] must be a non-empty base64 coin", i))
+		}
+		out[i] = blinded
+	}
+	return out, nil
 }
 
 // ProviderKey fetches the provider's license/revocation verification key.
@@ -245,31 +288,39 @@ func (c *Client) CreateAccount(id string, funds int64) error {
 	return c.post("/v1/bank/account", BankAccountRequest{ID: id, Funds: funds}, nil)
 }
 
-// WithdrawCoins mints n coins over the wire (blind withdrawal loop).
+// WithdrawCoins mints n coins over the wire: it blinds them all, sends
+// them in one request (one per maxBatchItems coins), then unblinds and
+// verifies each coin.
 func (c *Client) WithdrawCoins(account string, n int) ([]*payment.Coin, error) {
 	pub, err := c.CoinKey()
 	if err != nil {
 		return nil, err
 	}
 	coins := make([]*payment.Coin, 0, n)
-	for i := 0; i < n; i++ {
-		req, err := payment.NewCoinRequest(pub, cryptorand.Reader)
+	for len(coins) < n {
+		reqs, blinded, err := payment.NewCoinRequests(pub, cryptorand.Reader, min(n-len(coins), maxBatchItems))
 		if err != nil {
 			return nil, err
+		}
+		wire := WithdrawRequest{Account: account, BlindedBatch: make([]string, len(blinded))}
+		for i, b := range blinded {
+			wire.BlindedBatch[i] = b64(b)
 		}
 		var resp WithdrawResponse
-		if err := c.post("/v1/bank/withdraw", WithdrawRequest{Account: account, Blinded: b64(req.Blinded)}, &resp); err != nil {
+		if err := c.post("/v1/bank/withdraw", wire, &resp); err != nil {
 			return nil, err
 		}
-		blindSig, err := unb64(resp.BlindSig)
+		sigs := make([][]byte, len(resp.BlindSigs))
+		for i, w := range resp.BlindSigs {
+			if sigs[i], err = unb64(w); err != nil {
+				return nil, err
+			}
+		}
+		got, err := payment.FinishCoins(pub, reqs, sigs)
 		if err != nil {
 			return nil, err
 		}
-		coin, err := req.Finish(pub, blindSig)
-		if err != nil {
-			return nil, err
-		}
-		coins = append(coins, coin)
+		coins = append(coins, got...)
 	}
 	return coins, nil
 }
@@ -810,7 +861,13 @@ func (c *Client) post(path string, in, out interface{}) error {
 	return decodeResp(resp, out)
 }
 
+// maxDrain bounds how much of an unread response body decodeResp
+// discards so the transport can reuse the keep-alive connection; a
+// larger remainder costs the connection instead.
+const maxDrain = 64 << 10
+
 func decodeResp(resp *http.Response, out interface{}) error {
+	defer io.Copy(io.Discard, io.LimitReader(resp.Body, maxDrain))
 	if resp.StatusCode != http.StatusOK {
 		var eb errorBody
 		if err := json.NewDecoder(resp.Body).Decode(&eb); err == nil && eb.Error != "" {

@@ -33,6 +33,9 @@
 //
 // Batches are single log records, so multi-key updates (e.g. "store new
 // license + mark old serial redeemed") are atomic across crashes.
+// ApplyIfAbsent is the conditional form: a batch of puts written only if
+// every key is absent, checked under the batch's own shard locks. It is
+// the store's one compare-and-set; PutIfAbsent is its one-key case.
 //
 // The engine also maintains per-segment metadata (record/live counts and
 // key range, segMeta) keyed by the segment id carried in every index
@@ -64,7 +67,7 @@
 // — and, because the log is append-only across segments, every record
 // acknowledged before it — is on stable storage. Callers sequencing
 // cross-store invariants ("spent mark durable before balance credit",
-// payment.Bank.Deposit) get that ordering for free. A failed fsync
+// payment.Bank.DepositCoins) get that ordering for free. A failed fsync
 // poisons the store: the error is sticky and every subsequent mutation or
 // durable wait returns it, because after a failed fsync the kernel may
 // have dropped the dirty pages and a retry would falsely report
@@ -812,47 +815,6 @@ func validateKV(key, val []byte) error {
 	return nil
 }
 
-// put logs and applies one put under its shard lock, returning the
-// record's seq for the caller's durability wait.
-func (s *Store) put(key, val []byte) (int64, error) {
-	if err := validateKV(key, val); err != nil {
-		return 0, err
-	}
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	seq, err := s.logAndApply(sh, op{key: key, val: append([]byte(nil), val...)})
-	sh.mu.Unlock()
-	return seq, err
-}
-
-// logAndApply appends one put/del record and applies it to sh. Caller
-// holds sh.mu; o.val must be owned by the store.
-func (s *Store) logAndApply(sh *shard, o op) (int64, error) {
-	kind := kindPut
-	if o.del {
-		kind = kindDel
-	}
-	s.logMu.Lock()
-	if s.closed {
-		s.logMu.Unlock()
-		return 0, ErrClosed
-	}
-	// The record lands in the segment that is active NOW; append may
-	// roll to a fresh segment afterwards, but only after writing it.
-	seg := s.activeID
-	err := s.append(kind, encodePutBody(o.key, o.val))
-	seq := s.seq
-	if err == nil && s.durable {
-		s.metaFor(seg).note(s, []op{o})
-	}
-	s.logMu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	s.liveBytes.Add(s.applyOp(sh, o, seg))
-	return seq, nil
-}
-
 // Put stores val under key. Under SyncAlways/SyncGroupCommit the value
 // is on stable storage when Put returns nil.
 func (s *Store) Put(key, val []byte) error {
@@ -863,23 +825,15 @@ func (s *Store) Put(key, val []byte) error {
 // carries a trace (obs.WithTrace) the group-commit wait is recorded as
 // a span on it.
 func (s *Store) PutCtx(ctx context.Context, key, val []byte) error {
-	seq, err := s.put(key, val)
-	if err != nil {
-		return err
-	}
-	return s.waitDurableCtx(ctx, seq)
+	_, err := s.commit(ctx, kindPut, []op{{key: key, val: append([]byte(nil), val...)}}, false)
+	return err
 }
 
 // PutIfAbsent stores val under key only if the key is currently absent
-// and reports whether the write happened. Check and write are atomic
-// under the key's shard lock, making this the store's compare-and-set
-// primitive: concurrent callers racing on the same key see exactly one
-// true. The provider's redeemed-serial set and the bank's spent-coin
-// ledger rely on this for their double-spend gates. Both answers obey
-// the store's durability policy before returning: a winner waits for
-// its own record, and a loser waits for the record it lost to — the
-// observed "already present" must not be rolled back by a crash after
-// the caller has acted on it (e.g. reported a coin double-spent).
+// and reports whether the write happened. It is the one-key case of
+// ApplyIfAbsent, the store's compare-and-set primitive: concurrent
+// callers racing on the same key see exactly one true. The provider's
+// redeemed-serial set relies on it for its double-spend gate.
 func (s *Store) PutIfAbsent(key, val []byte) (bool, error) {
 	return s.PutIfAbsentCtx(context.Background(), key, val)
 }
@@ -887,28 +841,7 @@ func (s *Store) PutIfAbsent(key, val []byte) (bool, error) {
 // PutIfAbsentCtx is PutIfAbsent threaded through a request context for
 // commit-wait span recording (see PutCtx).
 func (s *Store) PutIfAbsentCtx(ctx context.Context, key, val []byte) (bool, error) {
-	if err := validateKV(key, val); err != nil {
-		return false, err
-	}
-	if s.closedFlag.Load() {
-		return false, ErrClosed
-	}
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	if _, ok := sh.data[string(key)]; ok {
-		// The record establishing the key was appended (and its seq
-		// published) before the winner's map insert under this shard
-		// lock, so the current seq covers it.
-		seq := s.seqNow.Load()
-		sh.mu.Unlock()
-		return false, s.waitDurableCtx(ctx, seq)
-	}
-	seq, err := s.logAndApply(sh, op{key: key, val: append([]byte(nil), val...)})
-	sh.mu.Unlock()
-	if err != nil {
-		return false, err
-	}
-	return true, s.waitDurableCtx(ctx, seq)
+	return s.commit(ctx, kindPut, []op{{key: key, val: append([]byte(nil), val...)}}, true)
 }
 
 // Get returns a copy of the value for key.
@@ -941,20 +874,8 @@ func (s *Store) Delete(key []byte) error {
 // DeleteCtx is Delete threaded through a request context for
 // commit-wait span recording (see PutCtx).
 func (s *Store) DeleteCtx(ctx context.Context, key []byte) error {
-	// Full validation, not just the empty-key check: an oversized key
-	// would be acknowledged here and then rejected by readRecord at
-	// replay — fatal once the segment seals.
-	if err := validateKV(key, nil); err != nil {
-		return err
-	}
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	seq, err := s.logAndApply(sh, op{del: true, key: key})
-	sh.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return s.waitDurableCtx(ctx, seq)
+	_, err := s.commit(ctx, kindDel, []op{{del: true, key: key}}, false)
+	return err
 }
 
 // Batch collects operations applied atomically by Apply.
@@ -991,39 +912,74 @@ func (s *Store) Apply(b *Batch) error {
 // nested inside it) on the context's trace, and the observer's
 // batch-size histogram sees len(b).
 func (s *Store) ApplyCtx(ctx context.Context, b *Batch) error {
+	_, err := s.applyBatch(ctx, b, false)
+	return err
+}
+
+// ErrConditionalDelete rejects a delete inside ApplyIfAbsent: absence is
+// the precondition, so a delete has nothing to act on.
+var ErrConditionalDelete = errors.New("kvstore: conditional batch holds a delete")
+
+// ErrRepeatedKey rejects an ApplyIfAbsent batch naming one key twice:
+// "every key absent" cannot decide which of the two puts wins.
+var ErrRepeatedKey = errors.New("kvstore: conditional batch repeats a key")
+
+// ApplyIfAbsent is the all-or-nothing compare-and-set over a batch of
+// puts: it writes the batch as one log record, exactly as Apply does,
+// only if every key is currently absent, and reports whether it did.
+// The check and the write happen under the same ascending shard locks,
+// so against any mix of concurrent PutIfAbsent and ApplyIfAbsent calls
+// each key has exactly one winner, and a losing batch writes nothing.
+// Both answers obey the store's durability policy before returning: a
+// winner waits for its own record, and a loser waits for the record it
+// lost to — the observed "already present" must not be rolled back by
+// a crash after the caller has acted on it (e.g. reported a coin
+// double-spent). The bank's spent-coin ledger settles every coin of a
+// purchase with one such call: one record, one group commit. An empty
+// batch writes nothing and reports true.
+func (s *Store) ApplyIfAbsent(b *Batch) (bool, error) {
+	return s.ApplyIfAbsentCtx(context.Background(), b)
+}
+
+// ApplyIfAbsentCtx is ApplyIfAbsent threaded through a request context,
+// recorded like ApplyCtx.
+func (s *Store) ApplyIfAbsentCtx(ctx context.Context, b *Batch) (bool, error) {
+	return s.applyBatch(ctx, b, true)
+}
+
+// applyBatch is the traced, observed entry of Apply and ApplyIfAbsent.
+func (s *Store) applyBatch(ctx context.Context, b *Batch, ifAbsent bool) (bool, error) {
 	if b == nil || len(b.ops) == 0 {
-		return nil
+		return true, nil
 	}
 	if o := s.observer(); o != nil && o.BatchOps != nil {
 		o.BatchOps(len(b.ops))
 	}
 	end := obs.StartSpan(ctx, "kv.apply_batch")
-	err := s.applyBatch(ctx, b)
+	ok, err := s.commit(ctx, kindBatch, b.ops, ifAbsent)
 	end()
-	return err
+	return ok, err
 }
 
-func (s *Store) applyBatch(ctx context.Context, b *Batch) error {
-	for _, o := range b.ops {
-		if err := validateKV(o.key, o.val); err != nil {
-			return err
-		}
+// encodeBody frames ops as the body of a record of the given kind,
+// refusing a body readRecord would reject on replay: a larger record
+// would be acknowledged now and then rejected at Open, which strict
+// sealed-segment replay treats as corruption.
+func encodeBody(kind byte, ops []op) ([]byte, error) {
+	if kind != kindBatch {
+		return encodePutBody(ops[0].key, ops[0].val), nil
 	}
-	// Encode the record body BEFORE taking any lock — it depends only on
-	// the batch — and bound it by what readRecord will accept on replay:
-	// a larger record would be acknowledged now and then rejected at
-	// Open, which strict sealed-segment replay treats as corruption.
 	size := 4
-	for _, o := range b.ops {
+	for _, o := range ops {
 		size += 1 + 4 + len(o.key) + 4 + len(o.val)
 	}
 	if size > maxRecordBody {
-		return fmt.Errorf("kvstore: batch encodes to %d bytes, limit %d", size, maxRecordBody)
+		return nil, fmt.Errorf("kvstore: batch encodes to %d bytes, limit %d", size, maxRecordBody)
 	}
 	body := make([]byte, size)
-	binary.BigEndian.PutUint32(body[:4], uint32(len(b.ops)))
+	binary.BigEndian.PutUint32(body[:4], uint32(len(ops)))
 	off := 4
-	for _, o := range b.ops {
+	for _, o := range ops {
 		if o.del {
 			body[off] = 1
 		}
@@ -1036,48 +992,121 @@ func (s *Store) applyBatch(ctx context.Context, b *Batch) error {
 		copy(body[off:], o.val)
 		off += len(o.val)
 	}
-	// Collect the distinct shards, lock them in index order.
+	return body, nil
+}
+
+// lockShards write-locks every shard ops touch, in ascending index
+// order — the one order every writer uses, so batches cannot deadlock
+// against each other — and returns them appended to buf.
+func (s *Store) lockShards(ops []op, buf []*shard) []*shard {
+	if len(ops) == 1 {
+		sh := s.shardFor(ops[0].key)
+		sh.mu.Lock()
+		return append(buf, sh)
+	}
 	touched := make([]bool, len(s.shards))
-	for _, o := range b.ops {
+	for _, o := range ops {
 		touched[s.shardIndex(o.key)] = true
 	}
-	locked := make([]int, 0, len(b.ops))
 	for i, t := range touched {
 		if t {
 			s.shards[i].mu.Lock()
-			locked = append(locked, i)
+			buf = append(buf, s.shards[i])
 		}
 	}
-	unlock := func() {
-		for _, i := range locked {
-			s.shards[i].mu.Unlock()
-		}
-	}
+	return buf
+}
 
+// lockedShard maps key to its shard among those lockShards returned,
+// skipping the hash when only one shard is held.
+func (s *Store) lockedShard(locked []*shard, key []byte) *shard {
+	if len(locked) == 1 {
+		return locked[0]
+	}
+	return s.shardFor(key)
+}
+
+func unlockShards(locked []*shard) {
+	for _, sh := range locked {
+		sh.mu.Unlock()
+	}
+}
+
+// commit is the store's one write path. It logs ops as a single record
+// of the given kind and applies them to the index, holding every
+// touched shard lock across the append and the apply, so log order
+// matches apply order for every key and no reader sees half a record.
+// With ifAbsent it first checks, under those same locks, that no key is
+// present; if one is, nothing is written and it reports false once the
+// record that established the key is durable. The caller owns every
+// o.val (values are stored without copying). The durability wait runs
+// after the locks are released, so group commit can batch it.
+func (s *Store) commit(ctx context.Context, kind byte, ops []op, ifAbsent bool) (bool, error) {
+	for _, o := range ops {
+		if err := validateKV(o.key, o.val); err != nil {
+			return false, err
+		}
+		if ifAbsent && o.del {
+			return false, ErrConditionalDelete
+		}
+	}
+	if ifAbsent && len(ops) > 1 {
+		seen := make(map[string]struct{}, len(ops))
+		for _, o := range ops {
+			if _, dup := seen[string(o.key)]; dup {
+				return false, ErrRepeatedKey
+			}
+			seen[string(o.key)] = struct{}{}
+		}
+	}
+	if s.closedFlag.Load() {
+		return false, ErrClosed
+	}
+	// Encode before taking any lock: the body depends only on ops.
+	body, err := encodeBody(kind, ops)
+	if err != nil {
+		return false, err
+	}
+	var buf [1]*shard
+	locked := s.lockShards(ops, buf[:0])
+	if ifAbsent {
+		for _, o := range ops {
+			if _, ok := s.lockedShard(locked, o.key).data[string(o.key)]; ok {
+				// The record establishing the key was appended (and its
+				// seq published) before the winner's map insert under
+				// this shard lock, so the current seq covers it.
+				seq := s.seqNow.Load()
+				unlockShards(locked)
+				return false, s.waitDurableCtx(ctx, seq)
+			}
+		}
+	}
 	s.logMu.Lock()
 	if s.closed {
 		s.logMu.Unlock()
-		unlock()
-		return ErrClosed
+		unlockShards(locked)
+		return false, ErrClosed
 	}
+	// The record lands in the segment that is active NOW; append may
+	// roll to a fresh segment afterwards, but only after writing it.
 	seg := s.activeID
-	err := s.append(kindBatch, body)
+	err = s.append(kind, body)
 	seq := s.seq
 	if err == nil && s.durable {
-		s.metaFor(seg).note(s, b.ops)
+		s.metaFor(seg).note(s, ops)
 	}
 	s.logMu.Unlock()
 	if err != nil {
-		unlock()
-		return err
+		unlockShards(locked)
+		return false, err
 	}
 	var delta int64
-	for _, o := range b.ops {
-		delta += s.applyOp(s.shardFor(o.key), o, seg)
+	for _, o := range ops {
+		delta += s.applyOp(s.lockedShard(locked, o.key), o, seg)
 	}
-	unlock()
+	unlockShards(locked)
 	s.liveBytes.Add(delta)
-	return s.waitDurableCtx(ctx, seq)
+	return true, s.waitDurableCtx(ctx, seq)
 }
 
 // Len returns the number of live keys.

@@ -17,19 +17,24 @@
 // across crypto or I/O:
 //
 //   - Balances live in N hash shards (FNV-1a over the account id), each
-//     with its own mutex. Withdraw and Deposit on different accounts in
-//     different shards never contend; the RSA blind signature in Withdraw
-//     runs with NO lock held (debit first, refund on signing failure).
-//   - The spent-serial ledger is gated by kvstore.PutIfAbsent — a
-//     lock-free-from-the-bank's-view CAS — so two concurrent deposits of
-//     one coin see exactly one winner, with no bank lock around the
-//     ledger write.
+//     with its own mutex. Withdrawals and deposits on different accounts
+//     in different shards never contend.
+//   - WithdrawBatch debits the whole coin count under the shard lock, all
+//     or nothing, then releases it and blind-signs the coins in parallel
+//     on at most GOMAXPROCS goroutines; a failed signature refunds the
+//     full debit. Withdraw is its one-coin case.
+//   - DepositCoins settles a payment's coins as one unit: one
+//     kvstore.ApplyIfAbsent writes every spent mark in a single log
+//     record (one group commit) only if no serial is already spent. Two
+//     concurrent deposits sharing a coin see exactly one winner, and the
+//     loser burns none of its coins, with no bank lock around the ledger
+//     write. Deposit is its one-coin case.
 //
-// Crash ordering: Deposit marks the serial spent in the durable ledger
+// Crash ordering: deposits mark serials spent in the durable ledger
 // BEFORE crediting the in-memory balance, so a crash between the two can
 // at worst lose the payee a credit, never mint one. With the ledger store
-// opened in kvstore group-commit (or fsync-per-write) mode, "Deposit
-// returned nil" implies the spent mark is on stable storage.
+// opened in kvstore group-commit (or fsync-per-write) mode, "DepositCoins
+// returned nil" implies the spent marks are on stable storage.
 //
 // Lock order is trivial: no code path holds two shard locks at once, and
 // the kvstore synchronizes internally.
@@ -43,7 +48,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"p2drm/internal/cryptox/rsablind"
 	"p2drm/internal/kvstore"
@@ -231,10 +238,26 @@ func (b *Bank) TotalBalance() int64 {
 }
 
 // Withdraw debits one credit from the account and blind-signs the
-// presented blinded coin. The bank never sees the coin serial. The RSA
-// signature runs with no shard lock held: debit first, refund if signing
-// fails.
+// presented blinded coin: the one-coin case of WithdrawBatch.
 func (b *Bank) Withdraw(accountID string, blinded []byte) ([]byte, error) {
+	sigs, err := b.WithdrawBatch(accountID, [][]byte{blinded})
+	if err != nil {
+		return nil, err
+	}
+	return sigs[0], nil
+}
+
+// WithdrawBatch debits one credit per blinded coin — the whole count at
+// once under the account's shard lock, so a balance that covers only
+// part of the batch debits nothing — and blind-signs every coin. The
+// bank never sees a serial. Signing runs with no lock held, on at most
+// GOMAXPROCS goroutines; if any signature fails, the full debit is
+// refunded and no signature is returned.
+func (b *Bank) WithdrawBatch(accountID string, blinded [][]byte) ([][]byte, error) {
+	if len(blinded) == 0 {
+		return nil, errors.New("payment: empty withdrawal")
+	}
+	n := int64(len(blinded))
 	sh := b.shard(accountID)
 	sh.mu.Lock()
 	bal, ok := sh.balances[accountID]
@@ -242,63 +265,128 @@ func (b *Bank) Withdraw(accountID string, blinded []byte) ([]byte, error) {
 		sh.mu.Unlock()
 		return nil, fmt.Errorf("payment: unknown account %q", accountID)
 	}
-	if bal < 1 {
+	if bal < n {
 		sh.mu.Unlock()
 		return nil, ErrInsufficientFunds
 	}
-	sh.balances[accountID] = bal - 1
+	sh.balances[accountID] = bal - n
 	sh.mu.Unlock()
-	sig, err := b.signer.SignBlinded(blinded)
+	sigs, err := b.signAll(blinded)
 	if err != nil {
 		// Accounts are never deleted, so the refund cannot miss.
 		sh.mu.Lock()
-		sh.balances[accountID]++
+		sh.balances[accountID] += n
 		sh.mu.Unlock()
 		return nil, err
 	}
-	return sig, nil
+	return sigs, nil
 }
 
-// WithdrawCoins is the convenience client+bank loop minting n coins.
-func (b *Bank) WithdrawCoins(accountID string, n int) ([]*Coin, error) {
-	coins := make([]*Coin, 0, n)
-	for i := 0; i < n; i++ {
-		req, err := NewCoinRequest(b.CoinPub(), rand.Reader)
+// signAll blind-signs every element on min(GOMAXPROCS, len) goroutines
+// (the caller's among them) and returns the first failure, if any.
+func (b *Bank) signAll(blinded [][]byte) ([][]byte, error) {
+	sigs := make([][]byte, len(blinded))
+	errs := make([]error, len(blinded))
+	var next atomic.Int64
+	sign := func() {
+		for i := int(next.Add(1)) - 1; i < len(blinded); i = int(next.Add(1)) - 1 {
+			sigs[i], errs[i] = b.signer.SignBlinded(blinded[i])
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), len(blinded)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sign()
+		}()
+	}
+	sign()
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		blindSig, err := b.Withdraw(accountID, req.Blinded)
+	}
+	return sigs, nil
+}
+
+// NewCoinRequests prepares n withdrawals against the bank's coin key.
+func NewCoinRequests(bankPub *rsa.PublicKey, random io.Reader, n int) ([]*CoinRequest, [][]byte, error) {
+	reqs := make([]*CoinRequest, n)
+	blinded := make([][]byte, n)
+	for i := range reqs {
+		req, err := NewCoinRequest(bankPub, random)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		coin, err := req.Finish(b.CoinPub(), blindSig)
+		reqs[i], blinded[i] = req, req.Blinded
+	}
+	return reqs, blinded, nil
+}
+
+// FinishCoins unblinds the bank's answers, in request order, into
+// spendable coins; Finish verifies each one.
+func FinishCoins(bankPub *rsa.PublicKey, reqs []*CoinRequest, blindSigs [][]byte) ([]*Coin, error) {
+	if len(blindSigs) != len(reqs) {
+		return nil, fmt.Errorf("payment: %d blind signatures for %d coins", len(blindSigs), len(reqs))
+	}
+	coins := make([]*Coin, len(reqs))
+	for i, req := range reqs {
+		coin, err := req.Finish(bankPub, blindSigs[i])
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("payment: coin %d: %w", i, err)
 		}
-		coins = append(coins, coin)
+		coins[i] = coin
 	}
 	return coins, nil
 }
 
-// Deposit verifies a coin, enforces single spending, and credits the
-// payee account. The double-spend mark and the credit are logically one
-// transaction; the spent mark is written (durably, per the ledger's sync
-// policy) first, so a crash can at worst lose the payee a credit, never
-// mint one. The ledger write is an atomic PutIfAbsent: of any number of
-// concurrent deposits of one coin, exactly one succeeds — there is no
-// check-then-act window.
-func (b *Bank) Deposit(payeeAccount string, c *Coin) error {
-	return b.DepositCtx(context.Background(), payeeAccount, c)
+// WithdrawCoins is the in-process client+bank round minting n coins
+// with one WithdrawBatch.
+func (b *Bank) WithdrawCoins(accountID string, n int) ([]*Coin, error) {
+	reqs, blinded, err := NewCoinRequests(b.CoinPub(), rand.Reader, n)
+	if err != nil {
+		return nil, err
+	}
+	blindSigs, err := b.WithdrawBatch(accountID, blinded)
+	if err != nil {
+		return nil, err
+	}
+	return FinishCoins(b.CoinPub(), reqs, blindSigs)
 }
 
-// DepositCtx is Deposit with a caller context, so a traced request
-// records the ledger's group-commit wait as a span.
-func (b *Bank) DepositCtx(ctx context.Context, payeeAccount string, c *Coin) error {
-	if err := VerifyCoin(b.CoinPub(), c); err != nil {
-		return err
+// Deposit settles one coin to the payee: the one-coin case of
+// DepositCoins.
+func (b *Bank) Deposit(payeeAccount string, c *Coin) error {
+	return b.DepositCoins(context.Background(), payeeAccount, []*Coin{c})
+}
+
+// DepositCoins settles a whole payment as one unit: it verifies every
+// coin, rejects a serial repeated within the slice, checks the payee,
+// marks every serial spent with one kvstore.ApplyIfAbsent — one log
+// record, one group commit — and credits the payee len(coins). If any
+// coin is bad or already spent, no coin is burned and nothing is
+// credited. Of any number of concurrent deposits sharing a coin,
+// exactly one succeeds; there is no check-then-act window. The spent
+// marks are written (durably, per the ledger's sync policy) before the
+// credit, so a crash can at worst lose the payee a credit, never mint
+// one. A traced ctx records the ledger's group-commit wait as a span.
+func (b *Bank) DepositCoins(ctx context.Context, payeeAccount string, coins []*Coin) error {
+	seen := make(map[[CoinSerialLen]byte]int, len(coins))
+	marks := new(kvstore.Batch)
+	for i, c := range coins {
+		if err := VerifyCoin(b.CoinPub(), c); err != nil {
+			return fmt.Errorf("payment: coin %d: %w", i, err)
+		}
+		if j, dup := seen[c.Serial]; dup {
+			return fmt.Errorf("%w: coin %d repeats coin %d", ErrDoubleSpend, i, j)
+		}
+		seen[c.Serial] = i
+		marks.Put(append([]byte("spent:"), c.Serial[:]...), []byte{1})
 	}
 	// Reject unknown payees before the ledger write so a misdirected
-	// deposit never burns the coin.
+	// deposit never burns the coins.
 	sh := b.shard(payeeAccount)
 	sh.mu.Lock()
 	_, ok := sh.balances[payeeAccount]
@@ -306,18 +394,17 @@ func (b *Bank) DepositCtx(ctx context.Context, payeeAccount string, c *Coin) err
 	if !ok {
 		return fmt.Errorf("payment: unknown account %q", payeeAccount)
 	}
-	key := append([]byte("spent:"), c.Serial[:]...)
-	inserted, err := b.spent.PutIfAbsentCtx(ctx, key, []byte{1})
+	inserted, err := b.spent.ApplyIfAbsentCtx(ctx, marks)
 	if err != nil {
 		return fmt.Errorf("payment: ledger: %w", err)
 	}
 	if !inserted {
 		return ErrDoubleSpend
 	}
-	// Spent mark is on the ledger; crediting cannot race an account
-	// deletion because accounts are never deleted.
+	// The spent marks are on the ledger; crediting cannot race an
+	// account deletion because accounts are never deleted.
 	sh.mu.Lock()
-	sh.balances[payeeAccount]++
+	sh.balances[payeeAccount] += int64(len(coins))
 	sh.mu.Unlock()
 	return nil
 }

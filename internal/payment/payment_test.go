@@ -1,6 +1,7 @@
 package payment
 
 import (
+	"context"
 	"crypto/rand"
 	"crypto/rsa"
 	"errors"
@@ -285,5 +286,98 @@ func TestShardCountInvariance(t *testing.T) {
 		if got := b.TotalBalance(); got != 4 {
 			t.Errorf("shards=%d: total = %d, want 4 (1 coin in flight)", shards, got)
 		}
+	}
+}
+
+// TestWithdrawBatchAllOrNothing: a batch the balance only partly covers,
+// or one with a bad element mid-batch, debits nothing and returns no
+// signature; a good batch debits exactly its size.
+func TestWithdrawBatchAllOrNothing(t *testing.T) {
+	b := testBank(t)
+	b.CreateAccount("alice", 3)
+	reqs, blinded, err := NewCoinRequests(b.CoinPub(), rand.Reader, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sigs, err := b.WithdrawBatch("alice", blinded); err != ErrInsufficientFunds || sigs != nil {
+		t.Errorf("over-balance batch: sigs=%d err=%v, want ErrInsufficientFunds", len(sigs), err)
+	}
+	bad := [][]byte{blinded[0], b.CoinPub().N.Bytes(), blinded[2]} // N is out of range
+	if sigs, err := b.WithdrawBatch("alice", bad); err == nil || sigs != nil {
+		t.Errorf("malformed element: sigs=%d err=%v", len(sigs), err)
+	}
+	if _, err := b.WithdrawBatch("alice", nil); err == nil {
+		t.Error("empty batch accepted")
+	}
+	if bal, _ := b.Balance("alice"); bal != 3 {
+		t.Fatalf("balance = %d after rejected batches, want 3", bal)
+	}
+	sigs, err := b.WithdrawBatch("alice", blinded[:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	coins, err := FinishCoins(b.CoinPub(), reqs[:3], sigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(coins) != 3 {
+		t.Fatalf("%d coins", len(coins))
+	}
+	if bal, _ := b.Balance("alice"); bal != 0 {
+		t.Errorf("balance = %d, want 0", bal)
+	}
+}
+
+// TestDepositCoinsAllOrNothing: a payment holding one spent, repeated
+// or forged coin — or naming an unknown payee — burns none of its coins
+// and credits nothing.
+func TestDepositCoinsAllOrNothing(t *testing.T) {
+	ctx := context.Background()
+	b := testBank(t)
+	b.CreateAccount("alice", 10)
+	b.CreateAccount("shop", 0)
+	coins, err := b.WithdrawCoins("alice", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Deposit("shop", coins[1]); err != nil {
+		t.Fatal(err)
+	}
+	forged := &Coin{Serial: coins[3].Serial, Sig: append([]byte(nil), coins[3].Sig...)}
+	forged.Sig[len(forged.Sig)-1] ^= 1
+	for name, tc := range map[string]struct {
+		payee string
+		pay   []*Coin
+	}{
+		"spent":    {"shop", []*Coin{coins[0], coins[1], coins[2]}},
+		"repeated": {"shop", []*Coin{coins[0], coins[2], coins[0]}},
+		"forged":   {"shop", []*Coin{coins[0], forged, coins[2]}},
+		"payee":    {"ghost", []*Coin{coins[0], coins[2]}},
+	} {
+		err := b.DepositCoins(ctx, tc.payee, tc.pay)
+		if err == nil {
+			t.Fatalf("%s: payment accepted", name)
+		}
+		if name == "spent" || name == "repeated" {
+			if !errors.Is(err, ErrDoubleSpend) {
+				t.Errorf("%s: err = %v, want ErrDoubleSpend", name, err)
+			}
+		}
+	}
+	if bal, _ := b.Balance("shop"); bal != 1 {
+		t.Errorf("shop = %d after rejected payments, want 1", bal)
+	}
+	if b.SpentCount() != 1 {
+		t.Fatalf("spent count = %d, want 1: a rejected payment burned a coin", b.SpentCount())
+	}
+	// Every coin a rejected payment carried is still good money.
+	if err := b.DepositCoins(ctx, "shop", []*Coin{coins[0], coins[2], coins[3]}); err != nil {
+		t.Fatal(err)
+	}
+	if bal, _ := b.Balance("shop"); bal != 4 {
+		t.Errorf("shop = %d, want 4", bal)
+	}
+	if got := b.TotalBalance(); got != 10 {
+		t.Errorf("total = %d, want 10", got)
 	}
 }

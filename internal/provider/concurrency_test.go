@@ -2,8 +2,8 @@ package provider
 
 // Invariant tests for the concurrent serving path. Run with -race: they
 // exercise the races the fine-grained locking must win — double redeem of
-// one serial, duplicate nonce consumption, and catalog mutation during
-// serving-path reads.
+// one serial, duplicate nonce consumption, purchases sharing coins, and
+// catalog mutation during serving-path reads.
 
 import (
 	"context"
@@ -16,6 +16,7 @@ import (
 	"p2drm/internal/cryptox/rsablind"
 	"p2drm/internal/cryptox/schnorr"
 	"p2drm/internal/license"
+	"p2drm/internal/payment"
 	"p2drm/internal/smartcard"
 )
 
@@ -478,5 +479,69 @@ func TestRedeemBatch(t *testing.T) {
 	}
 	if dupWins != 1 {
 		t.Fatalf("duplicate serial redeemed %d times in one batch, want exactly 1", dupWins)
+	}
+}
+
+// TestConcurrentPurchasesSharingCoins races purchases whose payments
+// overlap in a chain (coins i and i+1 pay purchase i): every coin
+// settles at most once, each winning purchase burns exactly its own
+// coins, and a losing purchase burns none — every coin outside the
+// winners still spends afterwards.
+func TestConcurrentPurchasesSharingCoins(t *testing.T) {
+	w := newWorld(t)
+	signPub, encPub := w.register(t, 0)
+	const purchases = 10
+	coins, err := w.bank.WithdrawCoins("alice", purchases+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	won := make([]bool, purchases)
+	var wg sync.WaitGroup
+	for i := 0; i < purchases; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, err := w.prov.Purchase(context.Background(), PurchaseRequest{
+				ContentID: w.item.ID, SignPub: signPub, EncPub: encPub, Coins: coins[i : i+2],
+			})
+			switch {
+			case err == nil:
+				won[i] = true
+			case !errors.Is(err, payment.ErrDoubleSpend):
+				t.Errorf("purchase %d: %v", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+
+	settled := make([]bool, len(coins))
+	wins := 0
+	for i, ok := range won {
+		if !ok {
+			continue
+		}
+		wins++
+		for _, c := range []int{i, i + 1} {
+			if settled[c] {
+				t.Fatalf("coin %d settled by two purchases", c)
+			}
+			settled[c] = true
+		}
+	}
+	if wins == 0 {
+		t.Fatal("no purchase won")
+	}
+	if bal, _ := w.bank.Balance("provider"); bal != int64(2*wins) {
+		t.Errorf("provider credited %d, want %d for %d purchases", bal, 2*wins, wins)
+	}
+	w.bank.CreateAccount("other-shop", 0)
+	for i, c := range coins {
+		err := w.bank.Deposit("other-shop", c)
+		if settled[i] != (err == payment.ErrDoubleSpend) {
+			t.Errorf("coin %d: settled=%v, late deposit err = %v", i, settled[i], err)
+		}
+	}
+	if got := w.bank.TotalBalance(); got != 100 {
+		t.Errorf("total balance = %d, want 100", got)
 	}
 }

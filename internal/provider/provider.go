@@ -450,7 +450,9 @@ type PurchaseRequest struct {
 
 // Purchase settles payment and issues a personalized license to the
 // pseudonym. The provider learns the pseudonym but neither the identity
-// behind it nor the coins' withdrawal origin.
+// behind it nor the coins' withdrawal origin. Payment is all or
+// nothing: the coins settle in one bank deposit, so a purchase that
+// presents a spent, forged or repeated coin burns none of its coins.
 func (p *Provider) Purchase(ctx context.Context, req PurchaseRequest) (*license.Personalized, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -468,14 +470,12 @@ func (p *Provider) Purchase(ctx context.Context, req PurchaseRequest) (*license.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Settle coins; stop at the first bad one. Already-deposited coins
-	// stay deposited (the client pays for its own double-spend attempt).
-	// No cancellation checks past this point: once money moves, the
-	// purchase must complete so the client is never charged licenseless.
-	for i, c := range req.Coins {
-		if err := p.cfg.Bank.DepositCtx(ctx, p.cfg.BankAccount, c); err != nil {
-			return nil, fmt.Errorf("provider: coin %d: %w", i, err)
-		}
+	// Settle the payment as one unit: every coin is burned, or — if any
+	// is forged, repeated or already spent — none is. No cancellation
+	// checks past this point: once money moves, the purchase must
+	// complete so the client is never charged licenseless.
+	if err := p.cfg.Bank.DepositCoins(ctx, p.cfg.BankAccount, req.Coins); err != nil {
+		return nil, fmt.Errorf("provider: payment: %w", err)
 	}
 	lic, err := p.issue(ctx, item, req.SignPub, req.EncPub)
 	if err != nil {

@@ -186,8 +186,19 @@ func TestPurchaseDoubleSpentCoinRejected(t *testing.T) {
 	_, err := w.prov.Purchase(context.Background(), PurchaseRequest{
 		ContentID: w.item.ID, SignPub: signPub, EncPub: encPub, Coins: coins,
 	})
-	if err == nil {
-		t.Error("double-spent coin bought a license")
+	if !errors.Is(err, payment.ErrDoubleSpend) {
+		t.Fatalf("double-spent coin: err = %v, want ErrDoubleSpend", err)
+	}
+	// No partial burn: the good coin the failed purchase carried still
+	// pays, together with a fresh one.
+	fresh, err := w.bank.WithdrawCoins("alice", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.prov.Purchase(context.Background(), PurchaseRequest{
+		ContentID: w.item.ID, SignPub: signPub, EncPub: encPub, Coins: []*payment.Coin{coins[1], fresh[0]},
+	}); err != nil {
+		t.Fatalf("coin of a failed purchase no longer spends: %v", err)
 	}
 }
 

@@ -429,3 +429,54 @@ func TestPinLeaseExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFollowerAppliesConditionalBatchWhole: a primary's ApplyIfAbsent
+// record reaches the follower as one unit. A reader polling the batch's
+// keys in order never sees a later key missing once an earlier one is
+// visible, and the follower converges to every key.
+func TestFollowerAppliesConditionalBatchWhole(t *testing.T) {
+	primary := newPrimary(t)
+	fill(t, primary, "pre", 10)
+	f := startFollower(t, replica.NewSource(primary), "")
+	waitConverged(t, f, primary, 5*time.Second)
+
+	keys := make([][]byte, 8)
+	b := new(kvstore.Batch)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("spent:%02d", i))
+		b.Put(keys[i], []byte{1})
+	}
+	done := make(chan struct{})
+	torn := make(chan string, 1)
+	go func() {
+		defer close(done)
+		for {
+			seen := 0
+			for i, k := range keys {
+				if _, ok := f.Get(k); ok {
+					seen++
+				} else if seen > 0 {
+					torn <- fmt.Sprintf("key %d missing after %d earlier keys were visible", i, seen)
+					return
+				}
+			}
+			if seen == len(keys) {
+				return
+			}
+		}
+	}()
+	if ok, err := primary.ApplyIfAbsent(b); err != nil || !ok {
+		t.Fatalf("ok=%v err=%v", ok, err)
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("follower never applied the batch")
+	}
+	select {
+	case msg := <-torn:
+		t.Fatal(msg)
+	default:
+	}
+	waitConverged(t, f, primary, 5*time.Second)
+}
